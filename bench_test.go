@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -214,6 +215,35 @@ func BenchmarkSearch(b *testing.B) {
 			b.Fatal("no hits")
 		}
 	}
+}
+
+// BenchmarkSearchSubstring measures the paper's `contains` predicate
+// on a venue, a year and a name: /indexed through the suffix array
+// over the token dictionary, /scan through the value scan SearchFunc
+// keeps as the Figure-6 ablation.
+func BenchmarkSearchSubstring(b *testing.B) {
+	setup := dblp(b)
+	terms := []string{"ICDE", "1999", "Schmidt"}
+	b.Run("indexed", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, t := range terms {
+				if len(setup.Index.SearchSubstring(t)) == 0 {
+					b.Fatal("no hits")
+				}
+			}
+		}
+	})
+	b.Run("scan", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, t := range terms {
+				if len(setup.Index.SearchFunc(func(v string) bool { return strings.Contains(v, t) })) == 0 {
+					b.Fatal("no hits")
+				}
+			}
+		}
+	})
 }
 
 // BenchmarkMeetRollup measures the warm columnar roll-up of the

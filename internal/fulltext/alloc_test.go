@@ -50,3 +50,31 @@ func TestScanAllocsSteadyState(t *testing.T) {
 		t.Errorf("warm matching scan allocates %.0f/op, pinned at <= 3", got)
 	}
 }
+
+// TestSearchSubstringAllocs pins the indexed substring search: with the
+// needle buffer and the token and row bitsets pooled, a warm search
+// allocates exactly its result slice and the offset slice that
+// index/suffixarray's Lookup returns (it has no append form), and a
+// term that no dictionary token contains allocates nothing.
+// AllocsPerRun divides by the run count, so a pool refill after a GC
+// does not move the figures.
+func TestSearchSubstringAllocs(t *testing.T) {
+	idx := fig1Index(t)
+	idx.SearchSubstring("Hack") // warm the pool
+	got := testing.AllocsPerRun(200, func() {
+		if len(idx.SearchSubstring("Hack")) != 2 {
+			t.Fatal("unexpected hit count")
+		}
+	})
+	if got > 2 {
+		t.Errorf("warm SearchSubstring allocates %.0f/op, pinned at <= 2", got)
+	}
+	got = testing.AllocsPerRun(200, func() {
+		if idx.SearchSubstring("absent") != nil {
+			t.Fatal("unexpected hits")
+		}
+	})
+	if got > 0 {
+		t.Errorf("warm missing SearchSubstring allocates %.0f/op, pinned at 0", got)
+	}
+}

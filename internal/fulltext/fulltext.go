@@ -5,19 +5,28 @@
 //
 // The engine indexes every string association of a Monet XML store —
 // the character data of cdata nodes and all attribute values — in an
-// inverted index keyed by lower-cased token. Substring search, the
-// semantics of the paper's `contains` predicate, is answered by a scan
-// over the distinct stored values.
+// inverted index keyed by lower-cased token.
 //
 // The index is columnar, matching the path-partitioned binary-relation
 // layout it is built over: all associations live in one table of
 // parallel columns (owner OID, attribute path, value id) sorted by
 // (owner, path), string values are interned once in a shared value
 // table — one 4-byte value id per association instead of one string
-// copy per token×association — and each posting list is a sorted
-// slice of row ids into that table. Single-token search is a single
-// gather pass over one posting list; phrase and substring search
-// narrow candidates by merging sorted postings before verification.
+// copy per token×association. The distinct tokens form a sorted
+// dictionary, stored as one NUL-separated buffer with token start
+// offsets and indexed by a suffix array; the postings are in CSR form,
+// one flat slice of row ids into the association table with per-token
+// offsets, each token's rows in ascending order. Single-token search
+// binary-searches the dictionary and gathers one posting list; phrase
+// search merges sorted postings before verification.
+//
+// Substring search, the semantics of the paper's `contains`
+// predicate, goes through the same postings: an occurrence of a term's
+// token lies inside one token of the value, so the suffix array finds
+// every dictionary token containing the term's longest token, their
+// postings give the candidate rows, and each candidate is verified
+// with a case-sensitive substring test. Only a term without any letter
+// or digit falls back to a scan over the distinct stored values.
 //
 // A hit identifies the node carrying the string: the cdata node's OID
 // for character data, the owning element's OID for attribute values.
@@ -27,6 +36,9 @@
 package fulltext
 
 import (
+	"index/suffixarray"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -36,7 +48,6 @@ import (
 	"ncq/internal/bat"
 	"ncq/internal/monetx"
 	"ncq/internal/pathsum"
-	"slices"
 )
 
 // Hit is one matched string association.
@@ -63,12 +74,23 @@ type Index struct {
 	paths  []pathsum.PathID
 	vals   []valueID
 
-	// post maps a token to the sorted row ids of the associations
-	// containing it — the compact posting lists. Row order is
-	// (owner, path) order, so a posting list materialises into an
-	// ordered result with a single gather pass, and intersecting two
-	// postings is a linear merge of sorted ints.
-	post map[string][]int32
+	// The token dictionary: the distinct tokens in ascending order,
+	// each followed by a NUL byte in dict (no token contains one, so
+	// no match of a token-free needle spans two tokens). Token k is
+	// dict[starts[k] : starts[k+1]-1]; sa indexes dict for substring
+	// lookups.
+	dict   []byte
+	starts []int32
+	sa     *suffixarray.Index
+
+	// The postings in CSR form: token k's rows are
+	// postRows[postOff[k]:postOff[k+1]], the sorted row ids of the
+	// associations containing it. Row order is (owner, path) order,
+	// so a posting list materialises into an ordered result with a
+	// single gather pass, and intersecting two postings is a linear
+	// merge of sorted ints.
+	postOff  []int32
+	postRows []int32
 }
 
 // Tokenize splits s into lower-cased maximal runs of letters and
@@ -193,10 +215,16 @@ func dedupTokens(toks []string) []string {
 // New builds the inverted index for the store by scanning every string
 // relation in the path summary's catalogue.
 func New(store *monetx.Store) *Index {
-	idx := &Index{store: store, post: make(map[string][]int32)}
+	idx := &Index{store: store}
 	sum := store.Summary()
 	intern := make(map[string]valueID)
-	var valueToks [][]string // tokens per interned value, deduplicated
+	tokIDs := make(map[string]int32)
+	var toks []string // distinct tokens, in first-seen order
+	// The deduplicated token ids of every interned value, in CSR form:
+	// value v's are valToks[valOff[v]:valOff[v+1]].
+	valOff := []int32{0}
+	var valToks []int32
+	var scratch []string
 	for _, pid := range sum.AllPaths() {
 		if sum.Kind(pid) != pathsum.Attr {
 			continue
@@ -212,26 +240,63 @@ func New(store *monetx.Store) *Index {
 				vid = valueID(len(idx.values))
 				intern[value] = vid
 				idx.values = append(idx.values, value)
-				valueToks = append(valueToks, dedupTokens(appendTokens(nil, value)))
+				scratch = dedupTokens(appendTokens(scratch[:0], value))
+				for _, tok := range scratch {
+					id, ok := tokIDs[tok]
+					if !ok {
+						id = int32(len(toks))
+						tokIDs[tok] = id
+						toks = append(toks, tok)
+					}
+					valToks = append(valToks, id)
+				}
+				valOff = append(valOff, int32(len(valToks)))
 			}
-			row := int32(len(idx.owners))
 			idx.owners = append(idx.owners, owner)
 			idx.paths = append(idx.paths, pid)
 			idx.vals = append(idx.vals, vid)
-			for _, tok := range valueToks[vid] {
-				idx.post[tok] = append(idx.post[tok], row)
-			}
 		}
 	}
 	idx.sortRows()
+
+	// Number the tokens in sorted order and lay out the dictionary.
+	slices.Sort(toks)
+	rank := make([]int32, len(toks))
+	idx.starts = make([]int32, 0, len(toks)+1)
+	for k, tok := range toks {
+		rank[tokIDs[tok]] = int32(k)
+		idx.starts = append(idx.starts, int32(len(idx.dict)))
+		idx.dict = append(append(idx.dict, tok...), 0)
+	}
+	idx.starts = append(idx.starts, int32(len(idx.dict)))
+	idx.sa = suffixarray.New(idx.dict)
+	for i, id := range valToks {
+		valToks[i] = rank[id]
+	}
+
+	// Count each token's rows, then fill the postings by sweeping the
+	// rows in their final order: every posting list comes out sorted.
+	idx.postOff = make([]int32, len(toks)+1)
+	for _, vid := range idx.vals {
+		for _, k := range valToks[valOff[vid]:valOff[vid+1]] {
+			idx.postOff[k+1]++
+		}
+	}
+	for k := 1; k < len(idx.postOff); k++ {
+		idx.postOff[k] += idx.postOff[k-1]
+	}
+	idx.postRows = make([]int32, idx.postOff[len(toks)])
+	next := slices.Clone(idx.postOff[:len(toks)])
+	for r, vid := range idx.vals {
+		for _, k := range valToks[valOff[vid]:valOff[vid+1]] {
+			idx.postRows[next[k]] = int32(r)
+			next[k]++
+		}
+	}
 	return idx
 }
 
-// sortRows orders the association table by (owner, path) and rewrites
-// every posting list into the new row order. The build scans relations
-// in path order with ascending owners inside each relation, so a token
-// occurring under a single path — the common case — needs no sort
-// after remapping; the O(n) sortedness check skips it.
+// sortRows orders the association table by (owner, path).
 func (idx *Index) sortRows() {
 	n := len(idx.owners)
 	// The scan emits rows per relation in ascending path-id order, so
@@ -247,30 +312,43 @@ func (idx *Index) sortRows() {
 	owners := make([]bat.OID, n)
 	paths := make([]pathsum.PathID, n)
 	vals := make([]valueID, n)
-	inv := make([]int32, n)
 	for newPos, key := range keys {
 		old := int32(uint32(key))
 		owners[newPos] = idx.owners[old]
 		paths[newPos] = idx.paths[old]
 		vals[newPos] = idx.vals[old]
-		inv[old] = int32(newPos)
 	}
 	idx.owners, idx.paths, idx.vals = owners, paths, vals
-	for _, rows := range idx.post {
-		for i, r := range rows {
-			rows[i] = inv[r]
-		}
-		if !slices.IsSorted(rows) {
-			slices.Sort(rows)
-		}
-	}
 }
 
 // Store returns the store the index was built over.
 func (idx *Index) Store() *monetx.Store { return idx.store }
 
 // Terms returns the number of distinct tokens in the index.
-func (idx *Index) Terms() int { return len(idx.post) }
+func (idx *Index) Terms() int { return len(idx.starts) - 1 }
+
+// token returns dictionary token k (without its NUL terminator).
+func (idx *Index) token(k int) []byte {
+	return idx.dict[idx.starts[k] : idx.starts[k+1]-1]
+}
+
+// postings returns the sorted row ids of the associations containing
+// tok as a token, found by binary search over the dictionary. The
+// slice is capped so an append can never clobber the next token's
+// posting list.
+func (idx *Index) postings(tok string) []int32 {
+	k := sort.Search(idx.Terms(), func(k int) bool { return string(idx.token(k)) >= tok })
+	if k == idx.Terms() || string(idx.token(k)) != tok {
+		return nil
+	}
+	return idx.tokenRows(k)
+}
+
+// tokenRows returns dictionary token k's posting list.
+func (idx *Index) tokenRows(k int) []int32 {
+	lo, hi := idx.postOff[k], idx.postOff[k+1]
+	return idx.postRows[lo:hi:hi]
+}
 
 // hits materialises a posting list (sorted association row ids) as
 // Hits. Postings are sorted at build time, so this is the single copy
@@ -299,7 +377,7 @@ func (idx *Index) Search(term string) []Hit {
 	}
 	if _, _, more := firstToken(rest); !more {
 		// Single-token fast path: no token slice, no sort, one copy.
-		return idx.hits(idx.post[tok])
+		return idx.hits(idx.postings(tok))
 	}
 	toks := Tokenize(term)
 	// Candidates must contain the leading token as a complete token
@@ -326,17 +404,16 @@ func (idx *Index) Search(term string) []Hit {
 // starting from the smallest. The second return is false when some
 // token has no posting at all.
 func (idx *Index) intersectPostings(toks []string) ([]int32, bool) {
-	smallest := 0
+	smallest, cand := 0, []int32(nil)
 	for i, tok := range toks {
-		p, ok := idx.post[tok]
-		if !ok || len(p) == 0 {
+		p := idx.postings(tok)
+		if len(p) == 0 {
 			return nil, false
 		}
-		if len(p) < len(idx.post[toks[smallest]]) {
-			smallest = i
+		if i == 0 || len(p) < len(cand) {
+			smallest, cand = i, p
 		}
 	}
-	cand := idx.post[toks[smallest]]
 	// Ping-pong two buffers through the narrowing merges: the write
 	// target never aliases cand (a shared posting list, or the other
 	// buffer), and a k-token query costs at most two intermediates.
@@ -346,7 +423,7 @@ func (idx *Index) intersectPostings(toks []string) ([]int32, bool) {
 		if i == smallest {
 			continue
 		}
-		bufs[cur] = bat.IntersectSorted(bufs[cur][:0], cand, idx.post[tok])
+		bufs[cur] = bat.IntersectSorted(bufs[cur][:0], cand, idx.postings(tok))
 		cand = bufs[cur]
 		cur ^= 1
 		if len(cand) == 0 {
@@ -358,32 +435,112 @@ func (idx *Index) intersectPostings(toks []string) ([]int32, bool) {
 
 // SearchSubstring returns the associations whose value contains sub as
 // a case-sensitive substring — the semantics of the paper's
-// `contains` predicate ("o & contains 'Bit'"). Substrings spanning
-// three or more tokens are narrowed through the posting lists first
-// (the interior tokens must occur verbatim); otherwise the distinct
-// value table is scanned, each stored string tested once however many
-// associations carry it.
+// `contains` predicate ("o & contains 'Bit'"), ordered by owner OID.
+//
+// Every occurrence of sub places each of its tokens inside one token of
+// the value, so the candidates are the postings of the dictionary
+// tokens containing sub's longest token, found through the suffix
+// array. The candidate rows are gathered in a bitset, which yields them
+// in (owner, path) order, and each is verified with a case-sensitive
+// strings.Contains; the cost is O(matches), not O(values). A sub
+// without a letter or digit has no token to look up and is answered by
+// scanning the distinct values.
 func (idx *Index) SearchSubstring(sub string) []Hit {
 	if sub == "" {
 		return nil
 	}
-	if toks := Tokenize(sub); len(toks) >= 3 {
-		// A value containing sub contains each interior token bounded
-		// by the same non-alphanumerics, i.e. as a complete token.
-		cand, ok := idx.intersectPostings(toks[1 : len(toks)-1])
-		if !ok {
-			return nil
+	sc := substringPool.Get().(*substringScratch)
+	defer substringPool.Put(sc)
+	sc.needle = appendLongestToken(sc.needle[:0], sub)
+	if len(sc.needle) == 0 {
+		return idx.scan(func(v string) bool { return strings.Contains(v, sub) })
+	}
+	offs := idx.sa.Lookup(sc.needle, -1)
+	if len(offs) == 0 {
+		return nil
+	}
+	sc.toks.reset(idx.Terms())
+	sc.rows.reset(len(idx.owners))
+	for _, off := range offs {
+		// The needle holds no NUL, so it starts inside token k.
+		k, found := slices.BinarySearch(idx.starts, int32(off))
+		if !found {
+			k--
 		}
-		var out []Hit
-		for _, r := range cand {
-			if v := idx.values[idx.vals[r]]; strings.Contains(v, sub) {
-				out = append(out, Hit{Owner: idx.owners[r], Path: idx.paths[r], Value: v})
+		if sc.toks.get(k) {
+			continue
+		}
+		sc.toks.set(k)
+		for _, r := range idx.tokenRows(k) {
+			sc.rows.set(int(r))
+		}
+	}
+	// Verify each candidate once, clearing the false ones, so the
+	// result is allocated at its exact size.
+	n := 0
+	for wi, w := range sc.rows.words {
+		for ; w != 0; w &= w - 1 {
+			r := wi<<6 | bits.TrailingZeros64(w)
+			if strings.Contains(idx.values[idx.vals[r]], sub) {
+				n++
+			} else {
+				sc.rows.words[wi] &^= 1 << (r & 63)
 			}
 		}
-		return out
 	}
-	return idx.scan(func(v string) bool { return strings.Contains(v, sub) })
+	if n == 0 {
+		return nil
+	}
+	out := make([]Hit, 0, n)
+	for wi, w := range sc.rows.words {
+		for ; w != 0; w &= w - 1 {
+			r := wi<<6 | bits.TrailingZeros64(w)
+			out = append(out, Hit{Owner: idx.owners[r], Path: idx.paths[r], Value: idx.values[idx.vals[r]]})
+		}
+	}
+	return out
 }
+
+// appendLongestToken appends the longest token of s, lower-cased, to
+// dst. Token boundaries are drawn as appendTokens draws them: maximal
+// runs of runes that are letters or digits once lower-cased.
+func appendLongestToken(dst []byte, s string) []byte {
+	isTok := func(r rune) bool {
+		r = unicode.ToLower(r)
+		return unicode.IsLetter(r) || unicode.IsDigit(r)
+	}
+	lo, hi, start := 0, 0, -1
+	for i, r := range s {
+		if isTok(r) {
+			if start < 0 {
+				start = i
+			}
+			continue
+		}
+		if start >= 0 && i-start > hi-lo {
+			lo, hi = start, i
+		}
+		start = -1
+	}
+	if start >= 0 && len(s)-start > hi-lo {
+		lo, hi = start, len(s)
+	}
+	for _, r := range s[lo:hi] {
+		dst = utf8.AppendRune(dst, unicode.ToLower(r))
+	}
+	return dst
+}
+
+// substringScratch is the pooled per-call state of SearchSubstring: the
+// lower-cased needle, the dictionary tokens already expanded and the
+// candidate association rows.
+type substringScratch struct {
+	needle []byte
+	toks   bitset
+	rows   bitset
+}
+
+var substringPool = sync.Pool{New: func() any { return new(substringScratch) }}
 
 // SearchFunc returns the associations whose value satisfies pred. The
 // predicate is evaluated once per distinct stored value.

@@ -1,6 +1,8 @@
 package fulltext
 
 import (
+	"math/rand"
+	"strings"
 	"testing"
 	"unicode"
 )
@@ -29,5 +31,29 @@ func FuzzTokenize(f *testing.F) {
 				}
 			}
 		}
+	})
+}
+
+// FuzzSearchSubstring checks the indexed substring search against the
+// value scan it replaces. The first input is the stored value set, one
+// value per line; the second is the term.
+func FuzzSearchSubstring(f *testing.F) {
+	for _, c := range [][2]string{
+		{"Hacking & RSI\nHow to Hack", "Hack"},
+		{"probeA17\nprobeA1", "probeA1"},
+		{"Bob Byte\nBytes", "b Byte"},
+		{"K\nk\nK", "K"},
+		{"İstanbul\nistanbul", "stanbul"},
+		{"Straẞe\nstraße", "ße"},
+		{"été", "é"},
+		{"a-b\n--", "-"},
+		{"\xc3\xa9t\xff\n\xa9t", "\xa9t"},
+	} {
+		f.Add(c[0], c[1])
+	}
+	f.Fuzz(func(t *testing.T, values, sub string) {
+		r := rand.New(rand.NewSource(int64(len(values))))
+		idx := valuesIndex(t, r, strings.Split(values, "\n"))
+		checkSubstringEquivalence(t, idx, []string{sub})
 	})
 }
